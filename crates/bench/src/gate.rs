@@ -174,6 +174,12 @@ pub fn check_gate(
 /// 4 epochs on a small seeded SBM. Everything is seeded, so re-recording
 /// yields a byte-identical schedule.
 pub fn record_gcn_epoch_trace() -> TraceV1 {
+    record_gcn_trace(4)
+}
+
+/// The gated fused-GCN workload run for `epochs` epochs; its trace grows
+/// by about 10.5 kB of JSON per epoch.
+pub fn record_gcn_trace(epochs: usize) -> TraceV1 {
     let ds = sbm(
         &SbmParams {
             block_sizes: vec![50, 50, 50, 50],
@@ -187,7 +193,7 @@ pub fn record_gcn_epoch_trace() -> TraceV1 {
     )
     .expect("valid SBM parameters");
     let cfg = TrainConfig {
-        epochs: 4,
+        epochs,
         ..Default::default()
     };
     train_distributed_with_opts(

@@ -130,9 +130,14 @@ impl EventRecorder {
 
     /// Snapshot of all events, sorted by start time (stable on ties).
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut evs = self.inner.lock().clone();
-        evs.sort_by_key(|e| (e.start_ns, e.device, e.stream));
-        evs
+        sorted(self.inner.lock().clone())
+    }
+
+    /// Moves every event out, sorted as [`snapshot`](Self::snapshot)
+    /// sorts them, and leaves the recorder empty. Cheaper than a snapshot
+    /// when nothing else reads the recorder afterwards: no event is cloned.
+    pub fn take_sorted(&self) -> Vec<TraceEvent> {
+        sorted(std::mem::take(&mut *self.inner.lock()))
     }
 
     /// Removes all recorded events.
@@ -150,6 +155,11 @@ impl EventRecorder {
             .map(|e| e.dur_ns)
             .sum()
     }
+}
+
+fn sorted(mut evs: Vec<TraceEvent>) -> Vec<TraceEvent> {
+    evs.sort_by_key(|e| (e.start_ns, e.device, e.stream));
+    evs
 }
 
 #[cfg(test)]
@@ -179,6 +189,17 @@ mod tests {
         let snap = rec.snapshot();
         assert_eq!(snap[0].name, "a");
         assert_eq!(snap[1].name, "b");
+    }
+
+    #[test]
+    fn take_sorted_matches_snapshot_and_empties_the_recorder() {
+        let rec = EventRecorder::new();
+        rec.record(ev("c", 1, 50, 10));
+        rec.record(ev("b", 0, 100, 10));
+        rec.record(ev("a", 0, 50, 10));
+        let snap = rec.snapshot();
+        assert_eq!(rec.take_sorted(), snap);
+        assert!(rec.is_empty());
     }
 
     #[test]

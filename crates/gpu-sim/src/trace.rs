@@ -47,7 +47,8 @@ use crate::dim::Dim3;
 use crate::event::{EventKind, EventRecorder, TraceEvent};
 use crate::kernel::{AccessPattern, KernelPricing, KernelProfile, LaunchConfig};
 use parking_lot::Mutex;
-use serde_json::Value;
+use serde_json::{Kind, Reader};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -292,12 +293,18 @@ impl TraceV1 {
         write_trace(self)
     }
 
-    /// Parses a JSON artifact, checking `version` before anything else.
+    /// Decodes a JSON artifact in one pass over its tokens.
+    ///
+    /// Errors come in a fixed precedence: malformed JSON anywhere is
+    /// [`TraceError::Parse`]; otherwise a `version` other than
+    /// [`TRACE_VERSION`] is [`TraceError::Version`], wherever the key sits;
+    /// otherwise the first schema violation is [`TraceError::Schema`].
     pub fn from_json(input: &str) -> Result<Self, TraceError> {
-        let v = serde_json::from_str(input).map_err(|e| TraceError::Parse {
-            reason: e.to_string(),
-        })?;
-        parse_trace(&v)
+        read_trace(&mut Reader::new(input))
+            .map_err(|e| TraceError::Parse {
+                reason: e.to_string(),
+            })?
+            .build()
     }
 
     /// Writes the JSON artifact to `path`.
@@ -873,7 +880,7 @@ pub fn replay(trace: &TraceV1, whatif: &WhatIf) -> Result<ReplayReport, TraceErr
         kernel_launches: gpus.iter().map(|g| g.kernels_launched()).sum(),
         per_device_ns,
         event_ns,
-        events: recorder.snapshot(),
+        events: recorder.take_sorted(),
     })
 }
 
@@ -1176,242 +1183,546 @@ fn write_trace(t: &TraceV1) -> String {
 }
 
 // ---------------------------------------------------------------------
-// JSON reader
+// JSON reader: one pull pass over the tokens, with no intermediate tree.
+//
+// Each object's fields are read into slots as they stream past, in
+// whatever order the keys come; unknown keys are skipped. The slots are
+// checked afterwards in a fixed order, so the schema error reported does
+// not depend on key order. A syntax error anywhere ends the pass, so it
+// wins over every schema error, and `version` is checked before any
+// other field.
 // ---------------------------------------------------------------------
 
-fn req<'a>(v: &'a Value, key: &str) -> Result<&'a Value, TraceError> {
-    v.get(key)
-        .ok_or_else(|| schema(format!("missing field '{key}'")))
+/// A syntax-level read: `Err` means the input is not valid JSON.
+type Read<T> = Result<T, serde_json::Error>;
+
+/// A scalar field as read: absent (`None`), present with the wrong type
+/// (`Some(None)`), or present (`Some(Some(v))`).
+type Scalar<T> = Option<Option<T>>;
+
+/// A structured field as read: absent (`None`), or decoded with its
+/// schema verdict kept until the parent checks its slots.
+type Nested<T> = Option<Result<T, TraceError>>;
+
+fn missing(key: &str) -> TraceError {
+    schema(format!("missing field '{key}'"))
 }
 
-fn req_u64(v: &Value, key: &str) -> Result<u64, TraceError> {
-    req(v, key)?
-        .as_u64()
+fn req<T>(f: Nested<T>, key: &str) -> Result<T, TraceError> {
+    f.ok_or_else(|| missing(key))?
+}
+
+fn req_u64(f: Scalar<u64>, key: &str) -> Result<u64, TraceError> {
+    f.ok_or_else(|| missing(key))?
         .ok_or_else(|| schema(format!("field '{key}' must be a non-negative integer")))
 }
 
-fn req_u32(v: &Value, key: &str) -> Result<u32, TraceError> {
-    Ok(req_u64(v, key)? as u32)
+fn req_u32(f: Scalar<u64>, key: &str) -> Result<u32, TraceError> {
+    let v = req_u64(f, key)?;
+    u32::try_from(v).map_err(|_| schema(format!("field '{key}' is out of range for u32: {v}")))
 }
 
-fn req_f64(v: &Value, key: &str) -> Result<f64, TraceError> {
-    req(v, key)?
-        .as_f64()
+fn req_f64(f: Scalar<f64>, key: &str) -> Result<f64, TraceError> {
+    f.ok_or_else(|| missing(key))?
         .ok_or_else(|| schema(format!("field '{key}' must be a number")))
 }
 
-fn req_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, TraceError> {
-    req(v, key)?
-        .as_str()
+fn req_str<'a>(f: Scalar<Cow<'a, str>>, key: &str) -> Result<Cow<'a, str>, TraceError> {
+    f.ok_or_else(|| missing(key))?
         .ok_or_else(|| schema(format!("field '{key}' must be a string")))
 }
 
-fn parse_link(v: &Value, key: &str) -> Result<LinkKind, TraceError> {
-    let tag = req_str(v, key)?;
-    link_from_tag(tag).ok_or_else(|| schema(format!("unknown link kind '{tag}'")))
+fn req_link(f: Scalar<Cow<'_, str>>, key: &str) -> Result<LinkKind, TraceError> {
+    let tag = req_str(f, key)?;
+    link_from_tag(&tag).ok_or_else(|| schema(format!("unknown link kind '{tag}'")))
 }
 
-fn parse_topology(v: &Value) -> Result<Option<Topology>, TraceError> {
-    if v.is_null() {
+/// Reads a field that may be `null`, which reads as absent.
+fn read_nullable<'a, T>(
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Read<Result<T, TraceError>>,
+) -> Read<Nested<T>> {
+    if r.peek()? == Kind::Null {
+        r.skip_value()?;
         return Ok(None);
     }
-    match req_str(v, "kind")? {
-        "flat" => Ok(Some(Topology::Flat(parse_link(v, "link")?))),
-        "two_tier" => Ok(Some(Topology::TwoTier {
-            island: req_u64(v, "island")? as usize,
-            intra: parse_link(v, "intra")?,
-            inter: parse_link(v, "inter")?,
-        })),
-        other => Err(schema(format!("unknown topology kind '{other}'"))),
-    }
+    read(r).map(Some)
 }
 
-fn parse_dim(v: &Value, key: &str) -> Result<Dim3, TraceError> {
-    let arr = req(v, key)?
-        .as_array()
-        .ok_or_else(|| schema(format!("field '{key}' must be a [x,y,z] array")))?;
-    if arr.len() != 3 {
-        return Err(schema(format!("field '{key}' must have three components")));
+/// Reads an array item by item, keeping the first item's schema error;
+/// the items after it are only syntax-checked.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    not_array: &str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Read<Result<T, TraceError>>,
+) -> Read<Result<Vec<T>, TraceError>> {
+    if !r.array()? {
+        return Ok(Err(schema(not_array)));
+    }
+    let mut items = Vec::new();
+    while r.next_item()? {
+        match item(r)? {
+            Ok(v) => items.push(v),
+            Err(e) => {
+                while r.next_item()? {
+                    r.skip_value()?;
+                }
+                return Ok(Err(e));
+            }
+        }
+    }
+    Ok(Ok(items))
+}
+
+fn read_gate(r: &mut Reader<'_>) -> Read<Result<Option<u32>, TraceError>> {
+    let gate = read_nullable(r, |r| {
+        Ok(match r.u64()? {
+            Some(v) => u32::try_from(v)
+                .map_err(|_| schema(format!("'gates' entry is out of range for u32: {v}"))),
+            None => Err(schema("'gates' entries must be integers or null")),
+        })
+    })?;
+    Ok(gate.transpose())
+}
+
+fn read_dim(r: &mut Reader<'_>, key: &str) -> Read<Result<Dim3, TraceError>> {
+    if !r.array()? {
+        return Ok(Err(schema(format!(
+            "field '{key}' must be a [x,y,z] array"
+        ))));
+    }
+    let mut comps = Vec::with_capacity(3);
+    while r.next_item()? {
+        comps.push(r.u64()?);
+    }
+    if comps.len() != 3 {
+        return Ok(Err(schema(format!(
+            "field '{key}' must have three components"
+        ))));
     }
     let comp = |i: usize| -> Result<u32, TraceError> {
-        arr[i]
-            .as_u64()
-            .map(|x| x as u32)
-            .ok_or_else(|| schema(format!("'{key}[{i}]' must be a non-negative integer")))
+        let v = comps[i]
+            .ok_or_else(|| schema(format!("'{key}[{i}]' must be a non-negative integer")))?;
+        u32::try_from(v).map_err(|_| schema(format!("'{key}[{i}]' is out of range for u32: {v}")))
     };
-    Ok(Dim3 {
-        x: comp(0)?,
-        y: comp(1)?,
-        z: comp(2)?,
-    })
-}
-
-fn parse_spec(v: &Value) -> Result<DeviceSpec, TraceError> {
-    let mem = req(v, "memory")?;
-    Ok(DeviceSpec {
-        name: req_str(v, "name")?.to_owned(),
-        sm_count: req_u32(v, "sm_count")?,
-        cores_per_sm: req_u32(v, "cores_per_sm")?,
-        warp_size: req_u32(v, "warp_size")?,
-        clock_ghz: req_f64(v, "clock_ghz")?,
-        max_threads_per_sm: req_u32(v, "max_threads_per_sm")?,
-        max_blocks_per_sm: req_u32(v, "max_blocks_per_sm")?,
-        max_threads_per_block: req_u32(v, "max_threads_per_block")?,
-        shared_mem_per_sm: req_u32(v, "shared_mem_per_sm")?,
-        registers_per_sm: req_u32(v, "registers_per_sm")?,
-        memory: MemorySpec {
-            capacity_bytes: req_u64(mem, "capacity_bytes")?,
-            bandwidth_bytes_per_sec: req_f64(mem, "bandwidth_bytes_per_sec")?,
-            latency_ns: req_f64(mem, "latency_ns")?,
-        },
-        pcie_bandwidth_bytes_per_sec: req_f64(v, "pcie_bandwidth_bytes_per_sec")?,
-        pcie_latency_ns: req_f64(v, "pcie_latency_ns")?,
-        launch_overhead_ns: req_f64(v, "launch_overhead_ns")?,
-    })
-}
-
-fn parse_pricing(v: &Value) -> Result<KernelPricing, TraceError> {
-    let access_tag = req_str(v, "access")?;
-    Ok(KernelPricing {
-        cfg: LaunchConfig {
-            grid: parse_dim(v, "grid")?,
-            block: parse_dim(v, "block")?,
-            shared_mem_bytes: req_u32(v, "shared_mem_bytes")?,
-        },
-        profile: KernelProfile {
-            flops: req_u64(v, "flops")?,
-            bytes: req_u64(v, "bytes")?,
-            access: access_from_tag(access_tag)
-                .ok_or_else(|| schema(format!("unknown access pattern '{access_tag}'")))?,
-            registers_per_thread: req_u32(v, "registers_per_thread")?,
-        },
-    })
-}
-
-fn parse_record(v: &Value) -> Result<TraceRecord, TraceError> {
-    let op = req_str(v, "op")?;
-    let device = req_u32(v, "device")?;
-    let stream = req_u32(v, "stream")?;
-    let body = match op {
-        "kernel" => RecordBody::Kernel {
-            name: req_str(v, "name")?.to_owned(),
-            dur_ns: req_u64(v, "dur_ns")?,
-            bytes: req_u64(v, "bytes")?,
-            flops: req_u64(v, "flops")?,
-            occupancy: req_f64(v, "occupancy")?,
-            pricing: match v.get("pricing") {
-                Some(p) if !p.is_null() => Some(parse_pricing(p)?),
-                _ => None,
-            },
-        },
-        "copy" => {
-            let tag = req_str(v, "kind")?;
-            RecordBody::Copy {
-                name: req_str(v, "name")?.to_owned(),
-                kind: CopyKind::from_tag(tag)
-                    .ok_or_else(|| schema(format!("unknown copy kind '{tag}'")))?,
-                dur_ns: req_u64(v, "dur_ns")?,
-                bytes: req_u64(v, "bytes")?,
-            }
-        }
-        "event_record" => RecordBody::EventRecord {
-            slot: req_u32(v, "slot")?,
-        },
-        "event_wait" => RecordBody::EventWait {
-            slot: req_u32(v, "slot")?,
-        },
-        "collective_step" => RecordBody::CollectiveStep {
-            name: req_str(v, "name")?.to_owned(),
-            dur_ns: req_u64(v, "dur_ns")?,
-            bytes: req_u64(v, "bytes")?,
-            not_before_ns: req_u64(v, "not_before_ns")?,
-        },
-        "collective" => {
-            let ready = req(v, "ready_ns")?
-                .as_array()
-                .ok_or_else(|| schema("'ready_ns' must be an array"))?
-                .iter()
-                .map(|x| {
-                    x.as_u64()
-                        .ok_or_else(|| schema("'ready_ns' entries must be integers"))
-                })
-                .collect::<Result<Vec<u64>, _>>()?;
-            let gates = req(v, "gates")?
-                .as_array()
-                .ok_or_else(|| schema("'gates' must be an array"))?
-                .iter()
-                .map(|x| {
-                    if x.is_null() {
-                        Ok(None)
-                    } else {
-                        x.as_u64()
-                            .map(|s| Some(s as u32))
-                            .ok_or_else(|| schema("'gates' entries must be integers or null"))
-                    }
-                })
-                .collect::<Result<Vec<Option<u32>>, _>>()?;
-            RecordBody::Collective {
-                name: req_str(v, "name")?.to_owned(),
-                bytes: req_u64(v, "bytes")?,
-                channel: req_u32(v, "channel")?,
-                ready_ns: ready,
-                gates,
-            }
-        }
-        "collective_sync" => RecordBody::CollectiveSync {
-            t_ns: req_u64(v, "t_ns")?,
-        },
-        "barrier" => RecordBody::Barrier,
-        "stream_sync" => RecordBody::StreamSync,
-        "blocking_all_reduce" => RecordBody::BlockingAllReduce {
-            bytes: req_u64(v, "bytes")?,
-        },
-        "p2p" => RecordBody::P2p {
-            src: req_u32(v, "src")?,
-            dst: req_u32(v, "dst")?,
-            bytes: req_u64(v, "bytes")?,
-        },
-        other => return Err(schema(format!("unknown record op '{other}'"))),
-    };
-    Ok(TraceRecord {
-        device,
-        stream,
-        body,
-    })
-}
-
-fn parse_trace(v: &Value) -> Result<TraceV1, TraceError> {
-    let version = req_u64(v, "version")?;
-    if version != TRACE_VERSION {
-        return Err(TraceError::Version { found: version });
-    }
-    let devices = req(v, "devices")?
-        .as_array()
-        .ok_or_else(|| schema("'devices' must be an array"))?
-        .iter()
-        .map(|d| {
-            Ok(TraceDevice {
-                ordinal: req_u32(d, "ordinal")?,
-                streams: req_u32(d, "streams")?,
-                spec: parse_spec(req(d, "spec")?)?,
-            })
+    Ok(comp(0).and_then(|x| {
+        Ok(Dim3 {
+            x,
+            y: comp(1)?,
+            z: comp(2)?,
         })
-        .collect::<Result<Vec<TraceDevice>, TraceError>>()?;
-    let records = req(v, "records")?
-        .as_array()
-        .ok_or_else(|| schema("'records' must be an array"))?
-        .iter()
-        .map(parse_record)
-        .collect::<Result<Vec<TraceRecord>, TraceError>>()?;
-    Ok(TraceV1 {
-        workload: req_str(v, "workload")?.to_owned(),
-        comm_channels: req_u32(v, "comm_channels")?,
-        topology: parse_topology(req(v, "topology")?)?,
-        sim_time_ns: req_u64(v, "sim_time_ns")?,
-        kernel_launches: req_u64(v, "kernel_launches")?,
-        devices,
-        records,
-    })
+    }))
+}
+
+#[derive(Default)]
+struct TopologyFields<'a> {
+    kind: Scalar<Cow<'a, str>>,
+    link: Scalar<Cow<'a, str>>,
+    island: Scalar<u64>,
+    intra: Scalar<Cow<'a, str>>,
+    inter: Scalar<Cow<'a, str>>,
+}
+
+fn read_topology(r: &mut Reader<'_>) -> Read<Result<Topology, TraceError>> {
+    let mut f = TopologyFields::default();
+    if r.object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "kind" => f.kind = Some(r.str()?),
+                "link" => f.link = Some(r.str()?),
+                "island" => f.island = Some(r.u64()?),
+                "intra" => f.intra = Some(r.str()?),
+                "inter" => f.inter = Some(r.str()?),
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    Ok(f.build())
+}
+
+impl TopologyFields<'_> {
+    fn build(self) -> Result<Topology, TraceError> {
+        let kind = req_str(self.kind, "kind")?;
+        match &*kind {
+            "flat" => Ok(Topology::Flat(req_link(self.link, "link")?)),
+            "two_tier" => Ok(Topology::TwoTier {
+                island: req_u64(self.island, "island")? as usize,
+                intra: req_link(self.intra, "intra")?,
+                inter: req_link(self.inter, "inter")?,
+            }),
+            other => Err(schema(format!("unknown topology kind '{other}'"))),
+        }
+    }
+}
+
+#[derive(Default)]
+struct MemoryFields {
+    capacity_bytes: Scalar<u64>,
+    bandwidth_bytes_per_sec: Scalar<f64>,
+    latency_ns: Scalar<f64>,
+}
+
+#[derive(Default)]
+struct SpecFields<'a> {
+    name: Scalar<Cow<'a, str>>,
+    sm_count: Scalar<u64>,
+    cores_per_sm: Scalar<u64>,
+    warp_size: Scalar<u64>,
+    clock_ghz: Scalar<f64>,
+    max_threads_per_sm: Scalar<u64>,
+    max_blocks_per_sm: Scalar<u64>,
+    max_threads_per_block: Scalar<u64>,
+    shared_mem_per_sm: Scalar<u64>,
+    registers_per_sm: Scalar<u64>,
+    /// A `memory` value that is not an object reads as one with no fields.
+    memory: Option<MemoryFields>,
+    pcie_bandwidth_bytes_per_sec: Scalar<f64>,
+    pcie_latency_ns: Scalar<f64>,
+    launch_overhead_ns: Scalar<f64>,
+}
+
+fn read_memory(r: &mut Reader<'_>) -> Read<MemoryFields> {
+    let mut f = MemoryFields::default();
+    if r.object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "capacity_bytes" => f.capacity_bytes = Some(r.u64()?),
+                "bandwidth_bytes_per_sec" => f.bandwidth_bytes_per_sec = Some(r.f64()?),
+                "latency_ns" => f.latency_ns = Some(r.f64()?),
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    Ok(f)
+}
+
+fn read_spec(r: &mut Reader<'_>) -> Read<Result<DeviceSpec, TraceError>> {
+    let mut f = SpecFields::default();
+    if r.object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "name" => f.name = Some(r.str()?),
+                "sm_count" => f.sm_count = Some(r.u64()?),
+                "cores_per_sm" => f.cores_per_sm = Some(r.u64()?),
+                "warp_size" => f.warp_size = Some(r.u64()?),
+                "clock_ghz" => f.clock_ghz = Some(r.f64()?),
+                "max_threads_per_sm" => f.max_threads_per_sm = Some(r.u64()?),
+                "max_blocks_per_sm" => f.max_blocks_per_sm = Some(r.u64()?),
+                "max_threads_per_block" => f.max_threads_per_block = Some(r.u64()?),
+                "shared_mem_per_sm" => f.shared_mem_per_sm = Some(r.u64()?),
+                "registers_per_sm" => f.registers_per_sm = Some(r.u64()?),
+                "memory" => f.memory = Some(read_memory(r)?),
+                "pcie_bandwidth_bytes_per_sec" => f.pcie_bandwidth_bytes_per_sec = Some(r.f64()?),
+                "pcie_latency_ns" => f.pcie_latency_ns = Some(r.f64()?),
+                "launch_overhead_ns" => f.launch_overhead_ns = Some(r.f64()?),
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    Ok(f.build())
+}
+
+impl SpecFields<'_> {
+    fn build(self) -> Result<DeviceSpec, TraceError> {
+        let mem = self.memory.ok_or_else(|| missing("memory"))?;
+        Ok(DeviceSpec {
+            name: req_str(self.name, "name")?.into_owned(),
+            sm_count: req_u32(self.sm_count, "sm_count")?,
+            cores_per_sm: req_u32(self.cores_per_sm, "cores_per_sm")?,
+            warp_size: req_u32(self.warp_size, "warp_size")?,
+            clock_ghz: req_f64(self.clock_ghz, "clock_ghz")?,
+            max_threads_per_sm: req_u32(self.max_threads_per_sm, "max_threads_per_sm")?,
+            max_blocks_per_sm: req_u32(self.max_blocks_per_sm, "max_blocks_per_sm")?,
+            max_threads_per_block: req_u32(self.max_threads_per_block, "max_threads_per_block")?,
+            shared_mem_per_sm: req_u32(self.shared_mem_per_sm, "shared_mem_per_sm")?,
+            registers_per_sm: req_u32(self.registers_per_sm, "registers_per_sm")?,
+            memory: MemorySpec {
+                capacity_bytes: req_u64(mem.capacity_bytes, "capacity_bytes")?,
+                bandwidth_bytes_per_sec: req_f64(
+                    mem.bandwidth_bytes_per_sec,
+                    "bandwidth_bytes_per_sec",
+                )?,
+                latency_ns: req_f64(mem.latency_ns, "latency_ns")?,
+            },
+            pcie_bandwidth_bytes_per_sec: req_f64(
+                self.pcie_bandwidth_bytes_per_sec,
+                "pcie_bandwidth_bytes_per_sec",
+            )?,
+            pcie_latency_ns: req_f64(self.pcie_latency_ns, "pcie_latency_ns")?,
+            launch_overhead_ns: req_f64(self.launch_overhead_ns, "launch_overhead_ns")?,
+        })
+    }
+}
+
+#[derive(Default)]
+struct PricingFields<'a> {
+    grid: Nested<Dim3>,
+    block: Nested<Dim3>,
+    shared_mem_bytes: Scalar<u64>,
+    flops: Scalar<u64>,
+    bytes: Scalar<u64>,
+    access: Scalar<Cow<'a, str>>,
+    registers_per_thread: Scalar<u64>,
+}
+
+fn read_pricing(r: &mut Reader<'_>) -> Read<Result<KernelPricing, TraceError>> {
+    let mut f = PricingFields::default();
+    if r.object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "grid" => f.grid = Some(read_dim(r, "grid")?),
+                "block" => f.block = Some(read_dim(r, "block")?),
+                "shared_mem_bytes" => f.shared_mem_bytes = Some(r.u64()?),
+                "flops" => f.flops = Some(r.u64()?),
+                "bytes" => f.bytes = Some(r.u64()?),
+                "access" => f.access = Some(r.str()?),
+                "registers_per_thread" => f.registers_per_thread = Some(r.u64()?),
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    Ok(f.build())
+}
+
+impl PricingFields<'_> {
+    fn build(self) -> Result<KernelPricing, TraceError> {
+        let access_tag = req_str(self.access, "access")?;
+        Ok(KernelPricing {
+            cfg: LaunchConfig {
+                grid: req(self.grid, "grid")?,
+                block: req(self.block, "block")?,
+                shared_mem_bytes: req_u32(self.shared_mem_bytes, "shared_mem_bytes")?,
+            },
+            profile: KernelProfile {
+                flops: req_u64(self.flops, "flops")?,
+                bytes: req_u64(self.bytes, "bytes")?,
+                access: access_from_tag(&access_tag)
+                    .ok_or_else(|| schema(format!("unknown access pattern '{access_tag}'")))?,
+                registers_per_thread: req_u32(self.registers_per_thread, "registers_per_thread")?,
+            },
+        })
+    }
+}
+
+/// Slots of one record object. Which of them the record needs is decided
+/// by its `op` when it is built.
+#[derive(Default)]
+struct RecordFields<'a> {
+    op: Scalar<Cow<'a, str>>,
+    device: Scalar<u64>,
+    stream: Scalar<u64>,
+    name: Scalar<Cow<'a, str>>,
+    kind: Scalar<Cow<'a, str>>,
+    dur_ns: Scalar<u64>,
+    bytes: Scalar<u64>,
+    flops: Scalar<u64>,
+    occupancy: Scalar<f64>,
+    /// Absent when the field is missing or `null`.
+    pricing: Nested<KernelPricing>,
+    slot: Scalar<u64>,
+    not_before_ns: Scalar<u64>,
+    ready_ns: Nested<Vec<u64>>,
+    gates: Nested<Vec<Option<u32>>>,
+    channel: Scalar<u64>,
+    t_ns: Scalar<u64>,
+    src: Scalar<u64>,
+    dst: Scalar<u64>,
+}
+
+fn read_record(r: &mut Reader<'_>) -> Read<Result<TraceRecord, TraceError>> {
+    let mut f = RecordFields::default();
+    if r.object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "op" => f.op = Some(r.str()?),
+                "device" => f.device = Some(r.u64()?),
+                "stream" => f.stream = Some(r.u64()?),
+                "name" => f.name = Some(r.str()?),
+                "kind" => f.kind = Some(r.str()?),
+                "dur_ns" => f.dur_ns = Some(r.u64()?),
+                "bytes" => f.bytes = Some(r.u64()?),
+                "flops" => f.flops = Some(r.u64()?),
+                "occupancy" => f.occupancy = Some(r.f64()?),
+                "pricing" => f.pricing = read_nullable(r, read_pricing)?,
+                "slot" => f.slot = Some(r.u64()?),
+                "not_before_ns" => f.not_before_ns = Some(r.u64()?),
+                "ready_ns" => {
+                    f.ready_ns = Some(read_list(r, "'ready_ns' must be an array", |r| {
+                        Ok(r.u64()?
+                            .ok_or_else(|| schema("'ready_ns' entries must be integers")))
+                    })?)
+                }
+                "gates" => f.gates = Some(read_list(r, "'gates' must be an array", read_gate)?),
+                "channel" => f.channel = Some(r.u64()?),
+                "t_ns" => f.t_ns = Some(r.u64()?),
+                "src" => f.src = Some(r.u64()?),
+                "dst" => f.dst = Some(r.u64()?),
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    Ok(f.build())
+}
+
+impl RecordFields<'_> {
+    fn build(self) -> Result<TraceRecord, TraceError> {
+        let op = req_str(self.op, "op")?;
+        let device = req_u32(self.device, "device")?;
+        let stream = req_u32(self.stream, "stream")?;
+        let body = match &*op {
+            "kernel" => RecordBody::Kernel {
+                name: req_str(self.name, "name")?.into_owned(),
+                dur_ns: req_u64(self.dur_ns, "dur_ns")?,
+                bytes: req_u64(self.bytes, "bytes")?,
+                flops: req_u64(self.flops, "flops")?,
+                occupancy: req_f64(self.occupancy, "occupancy")?,
+                pricing: self.pricing.transpose()?,
+            },
+            "copy" => {
+                let tag = req_str(self.kind, "kind")?;
+                RecordBody::Copy {
+                    name: req_str(self.name, "name")?.into_owned(),
+                    kind: CopyKind::from_tag(&tag)
+                        .ok_or_else(|| schema(format!("unknown copy kind '{tag}'")))?,
+                    dur_ns: req_u64(self.dur_ns, "dur_ns")?,
+                    bytes: req_u64(self.bytes, "bytes")?,
+                }
+            }
+            "event_record" => RecordBody::EventRecord {
+                slot: req_u32(self.slot, "slot")?,
+            },
+            "event_wait" => RecordBody::EventWait {
+                slot: req_u32(self.slot, "slot")?,
+            },
+            "collective_step" => RecordBody::CollectiveStep {
+                name: req_str(self.name, "name")?.into_owned(),
+                dur_ns: req_u64(self.dur_ns, "dur_ns")?,
+                bytes: req_u64(self.bytes, "bytes")?,
+                not_before_ns: req_u64(self.not_before_ns, "not_before_ns")?,
+            },
+            "collective" => {
+                let ready_ns = req(self.ready_ns, "ready_ns")?;
+                let gates = req(self.gates, "gates")?;
+                RecordBody::Collective {
+                    name: req_str(self.name, "name")?.into_owned(),
+                    bytes: req_u64(self.bytes, "bytes")?,
+                    channel: req_u32(self.channel, "channel")?,
+                    ready_ns,
+                    gates,
+                }
+            }
+            "collective_sync" => RecordBody::CollectiveSync {
+                t_ns: req_u64(self.t_ns, "t_ns")?,
+            },
+            "barrier" => RecordBody::Barrier,
+            "stream_sync" => RecordBody::StreamSync,
+            "blocking_all_reduce" => RecordBody::BlockingAllReduce {
+                bytes: req_u64(self.bytes, "bytes")?,
+            },
+            "p2p" => RecordBody::P2p {
+                src: req_u32(self.src, "src")?,
+                dst: req_u32(self.dst, "dst")?,
+                bytes: req_u64(self.bytes, "bytes")?,
+            },
+            other => return Err(schema(format!("unknown record op '{other}'"))),
+        };
+        Ok(TraceRecord {
+            device,
+            stream,
+            body,
+        })
+    }
+}
+
+#[derive(Default)]
+struct DeviceFields {
+    ordinal: Scalar<u64>,
+    streams: Scalar<u64>,
+    spec: Nested<DeviceSpec>,
+}
+
+fn read_device(r: &mut Reader<'_>) -> Read<Result<TraceDevice, TraceError>> {
+    let mut f = DeviceFields::default();
+    if r.object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "ordinal" => f.ordinal = Some(r.u64()?),
+                "streams" => f.streams = Some(r.u64()?),
+                "spec" => f.spec = Some(read_spec(r)?),
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    Ok(f.build())
+}
+
+impl DeviceFields {
+    fn build(self) -> Result<TraceDevice, TraceError> {
+        Ok(TraceDevice {
+            ordinal: req_u32(self.ordinal, "ordinal")?,
+            streams: req_u32(self.streams, "streams")?,
+            spec: req(self.spec, "spec")?,
+        })
+    }
+}
+
+#[derive(Default)]
+struct TraceFields<'a> {
+    version: Scalar<u64>,
+    workload: Scalar<Cow<'a, str>>,
+    comm_channels: Scalar<u64>,
+    /// `Ok(None)` when the field is `null`.
+    topology: Nested<Option<Topology>>,
+    sim_time_ns: Scalar<u64>,
+    kernel_launches: Scalar<u64>,
+    devices: Nested<Vec<TraceDevice>>,
+    records: Nested<Vec<TraceRecord>>,
+}
+
+/// Reads the whole document, trailing input included, into slots.
+fn read_trace<'a>(r: &mut Reader<'a>) -> Read<TraceFields<'a>> {
+    let mut f = TraceFields::default();
+    if r.object()? {
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "version" => f.version = Some(r.u64()?),
+                "workload" => f.workload = Some(r.str()?),
+                "comm_channels" => f.comm_channels = Some(r.u64()?),
+                "topology" => f.topology = Some(read_nullable(r, read_topology)?.transpose()),
+                "sim_time_ns" => f.sim_time_ns = Some(r.u64()?),
+                "kernel_launches" => f.kernel_launches = Some(r.u64()?),
+                "devices" => {
+                    f.devices = Some(read_list(r, "'devices' must be an array", read_device)?)
+                }
+                "records" => {
+                    f.records = Some(read_list(r, "'records' must be an array", read_record)?)
+                }
+                _ => r.skip_value()?,
+            }
+        }
+    }
+    r.finish()?;
+    Ok(f)
+}
+
+impl TraceFields<'_> {
+    fn build(self) -> Result<TraceV1, TraceError> {
+        let version = req_u64(self.version, "version")?;
+        if version != TRACE_VERSION {
+            return Err(TraceError::Version { found: version });
+        }
+        let devices = req(self.devices, "devices")?;
+        let records = req(self.records, "records")?;
+        Ok(TraceV1 {
+            workload: req_str(self.workload, "workload")?.into_owned(),
+            comm_channels: req_u32(self.comm_channels, "comm_channels")?,
+            topology: req(self.topology, "topology")?,
+            sim_time_ns: req_u64(self.sim_time_ns, "sim_time_ns")?,
+            kernel_launches: req_u64(self.kernel_launches, "kernel_launches")?,
+            devices,
+            records,
+        })
+    }
 }
 
 #[cfg(test)]

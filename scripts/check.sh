@@ -43,7 +43,13 @@
 #    gpu_sim::trace interposer and diff sim-time (±1%), submission count
 #    (exact), and exposed-comm fraction (+0.02) against
 #    tests/golden/*.trace.json. `--bless` re-records the goldens.
-# 13. repro_output.txt mentions every committed BENCH_A*.json artifact —
+# 13. decode wall gate (release): record a >= 1 MB GCN command trace and
+#    require the median TraceV1::from_json time to stay within 0.40x the
+#    median serde_json::from_str -> Value time on the same text in the same
+#    process (one-sided; a decoder that builds and walks a Value tree
+#    measures above 1x), with the decoded trace equal to the recorded one
+#    (crates/bench/src/bin/decode_gate.rs)
+# 14. repro_output.txt mentions every committed BENCH_A*.json artifact —
 #    catches the transcript drifting behind newly shipped experiments.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -99,6 +105,9 @@ if [[ -n "$BLESS" ]]; then
   cargo run --release -q -p sagegpu-bench --bin trace_gate -- --bless
 fi
 cargo run --release -q -p sagegpu-bench --bin trace_gate
+
+echo "==> decode wall gate: TraceV1::from_json vs a Value tree build"
+cargo run --release -q -p sagegpu-bench --bin decode_gate
 
 echo "==> repro_output.txt mentions every shipped BENCH_A*.json"
 for artifact in BENCH_A*.json; do
